@@ -18,7 +18,17 @@
    DAG (they have no valid position in the order); they are parked in
    [back] and retried whenever an abort removes edges.  While [back] is
    non-empty the graph *is* cyclic, and [would_cycle] answers [true]
-   outright, which keeps its verdicts exact. *)
+   outright, which keeps its verdicts exact.
+
+   Lemma 1's commit check [uncommitted_preds] runs on every wake for
+   every process waiting to commit, so it must not scale with served
+   history.  [lpred] indexes, per node, its live predecessors over DAG
+   and parked edges alike; a commit or abort removes the node from its
+   successors' entries.  Only the first hop into the queried pid may
+   cross a committed node, so the walk reads the full predecessor table
+   once and the index beyond it.  The index never assumes that a
+   committed node has no live predecessor: a process that commits
+   through its completion ([finish_terminal]) skips the Lemma 1 check. *)
 
 type status =
   | Live
@@ -31,6 +41,8 @@ type t = {
   pred : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   ord : (int, int) Hashtbl.t;  (* topological index; DAG edges increase it *)
   back : (int * int, unit) Hashtbl.t;  (* parked cycle-closing edges *)
+  lpred : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+      (* live predecessors over DAG and parked edges; no empty entries *)
   mutable next_ord : int;
   mutable sorted_edges : (int * int) list option;  (* memoized [edges] view *)
   mutable check : bool;  (* cross-check every verdict against the oracle *)
@@ -43,6 +55,7 @@ let create () =
     pred = Hashtbl.create 16;
     ord = Hashtbl.create 16;
     back = Hashtbl.create 4;
+    lpred = Hashtbl.create 16;
     next_ord = 0;
     sorted_edges = None;
     check = false;
@@ -71,7 +84,6 @@ let add_process t pid =
 let status t pid = Option.value ~default:Live (Hashtbl.find_opt t.status pid)
 let live t pid = status t pid = Live
 let committed t pid = status t pid = Committed
-let mark_committed t pid = Hashtbl.replace t.status pid Committed
 
 let dag_mem t i j =
   match Hashtbl.find_opt t.succ i with Some h -> Hashtbl.mem h j | None -> false
@@ -79,9 +91,34 @@ let dag_mem t i j =
 let mem_edge t i j = dag_mem t i j || Hashtbl.mem t.back (i, j)
 let ord t n = Hashtbl.find t.ord n
 
+(* every stored successor of [pid], parked cycle-closing edges included —
+   the scheduler's combined-graph (deps ∪ latent base) DFS walks the live
+   tables instead of copying the adjacency *)
+let iter_succs t pid f =
+  (match Hashtbl.find_opt t.succ pid with
+  | Some h -> Hashtbl.iter (fun j () -> f j) h
+  | None -> ());
+  if Hashtbl.length t.back > 0 then
+    Hashtbl.iter (fun (bi, bj) () -> if bi = pid then f bj) t.back
+
+(* [lpred] upkeep for one stored edge [i -> j] *)
+let index_edge t i j = if live t i then Hashtbl.replace (adj t.lpred j) i ()
+
+let unindex_edge t i j =
+  match Hashtbl.find_opt t.lpred j with
+  | Some h ->
+      Hashtbl.remove h i;
+      if Hashtbl.length h = 0 then Hashtbl.remove t.lpred j
+  | None -> ()
+
+let mark_committed t pid =
+  if live t pid then iter_succs t pid (unindex_edge t pid);
+  Hashtbl.replace t.status pid Committed
+
 let insert_dag t i j =
   Hashtbl.replace (adj t.succ i) j ();
-  Hashtbl.replace (adj t.pred j) i ()
+  Hashtbl.replace (adj t.pred j) i ();
+  index_edge t i j
 
 exception Cycle
 
@@ -131,7 +168,9 @@ let rec add_edge t i j =
          (forward from j, backward from i, both bounded by [oj, oi]) and
          reallocate its index pool so the region becomes order-consistent *)
       match discover_forward t ~target:i ~ub:oi j with
-      | exception Cycle -> Hashtbl.replace t.back (i, j) ()
+      | exception Cycle ->
+          Hashtbl.replace t.back (i, j) ();
+          index_edge t i j
       | fwd ->
           let bwd = discover_backward t ~lb:oj i in
           let by_ord seen =
@@ -145,6 +184,8 @@ let rec add_edge t i j =
   end
 
 and mark_aborted t pid =
+  if live t pid then iter_succs t pid (unindex_edge t pid);
+  Hashtbl.remove t.lpred pid;
   Hashtbl.replace t.status pid Aborted;
   t.sorted_edges <- None;
   (* aborted processes left no effects: drop their edges *)
@@ -251,7 +292,7 @@ let would_cycle t extra =
 (* Reverse reachability from [pid] over exactly the edges the reference
    implementation kept: (i, j) participates iff [live i || j = pid] —
    committed processes relay only as the last hop into [pid]. *)
-let uncommitted_preds t pid =
+let uncommitted_preds_reference t pid =
   let seen = Hashtbl.create 8 in
   Hashtbl.replace seen pid ();
   let acc = ref [] in
@@ -277,15 +318,39 @@ let uncommitted_preds t pid =
   go pid;
   List.sort compare !acc
 
-(* every stored successor of [pid], parked cycle-closing edges included —
-   the scheduler's combined-graph (deps ∪ latent base) DFS walks the live
-   tables instead of copying the adjacency *)
-let iter_succs t pid f =
-  (match Hashtbl.find_opt t.succ pid with
-  | Some h -> Hashtbl.iter (fun j () -> f j) h
+(* The same set: any direct predecessor of [pid] (stored or parked), then
+   only live predecessors, read off [lpred]. *)
+let uncommitted_preds_indexed t pid =
+  let seen = Hashtbl.create 8 in
+  Hashtbl.replace seen pid ();
+  let acc = ref [] in
+  let rec visit i =
+    if not (Hashtbl.mem seen i) then begin
+      Hashtbl.replace seen i ();
+      if live t i then acc := i :: !acc;
+      match Hashtbl.find_opt t.lpred i with
+      | Some h -> Hashtbl.iter (fun k () -> visit k) h
+      | None -> ()
+    end
+  in
+  (match Hashtbl.find_opt t.pred pid with
+  | Some h -> Hashtbl.iter (fun i () -> visit i) h
   | None -> ());
   if Hashtbl.length t.back > 0 then
-    Hashtbl.iter (fun (bi, bj) () -> if bi = pid then f bj) t.back
+    Hashtbl.iter (fun (bi, bj) () -> if bj = pid then visit bi) t.back;
+  List.sort compare !acc
+
+let uncommitted_preds t pid =
+  let v = uncommitted_preds_indexed t pid in
+  if t.check then begin
+    let r = uncommitted_preds_reference t pid in
+    if v <> r then
+      let show l = String.concat "," (List.map string_of_int l) in
+      failwith
+        (Printf.sprintf "Deps.uncommitted_preds %d: indexed=[%s] reference=[%s]" pid
+           (show v) (show r))
+  end;
+  v
 
 let succs t pid =
   let l = ref [] in

@@ -39,7 +39,9 @@ val would_cycle_reference : t -> (int * int) list -> bool
 
 val set_check : t -> bool -> unit
 (** Cross-check every {!would_cycle} verdict against
-    {!would_cycle_reference}, failing loudly on divergence. *)
+    {!would_cycle_reference} and every {!uncommitted_preds} answer
+    against {!uncommitted_preds_reference}, failing loudly on
+    divergence. *)
 
 val mark_committed : t -> int -> unit
 val mark_aborted : t -> int -> unit
@@ -48,7 +50,18 @@ val mark_aborted : t -> int -> unit
 val committed : t -> int -> bool
 
 val uncommitted_preds : t -> int -> int list
-(** Live predecessors of a process (direct or transitive). *)
+(** The live processes that reach the given pid backwards, sorted: any
+    direct predecessor (committed ones included, parked edges too)
+    relays, but beyond that first hop only live processes do — a
+    committed process relays only as the last hop into the pid.  Reads
+    the pid's predecessor table once, then a maintained index of live
+    predecessors: O(in-degree + live ancestry), independent of the
+    committed history behind it. *)
+
+val uncommitted_preds_reference : t -> int -> int list
+(** The pre-index traversal — folds each visited node's whole
+    predecessor table and filters it by status.  Kept as the reference
+    implementation for differential checking ({!set_check}). *)
 
 val live_succs : t -> int -> int list
 (** Live direct successors. *)

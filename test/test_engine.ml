@@ -2,8 +2,10 @@
    - the compiled conflict bitmatrix agrees with the string-keyed spec
      (all pairs, self-conflicts, effect-free marks, late interning);
    - Pearce–Kelly dependency tracking ([Deps]) agrees with the
-     from-scratch Digraph oracle on would-cycle verdicts and maintains a
-     valid topological order across inserts, aborts and commits;
+     from-scratch Digraph oracle on would-cycle verdicts, its indexed
+     uncommitted_preds agrees with the reference traversal, and it
+     maintains a valid topological order across inserts (parked ones
+     included), aborts and commits;
    - the indexed [Reduction.cancel_compensation_pairs] handles a
      1000-event schedule well under a second (the old implementation
      rescanned the interval per pair, quadratically). *)
@@ -80,20 +82,39 @@ let pk_agrees_with_oracle =
       let rng = Prng.create seed in
       let n = 3 + Prng.int rng 6 in
       let t = Deps.create () in
-      Deps.set_check t true (* every would_cycle self-checks vs the oracle *);
+      (* every would_cycle and uncommitted_preds self-checks vs its oracle *)
+      Deps.set_check t true;
       for pid = 1 to n do
         Deps.add_process t pid
       done;
       let steps = 5 + Prng.int rng 25 in
       for _ = 1 to steps do
         let i = 1 + Prng.int rng n and j = 1 + Prng.int rng n in
-        match Prng.int rng 10 with
+        (match Prng.int rng 14 with
         | 0 -> Deps.mark_aborted t i
         | 1 -> Deps.mark_committed t i
+        | 2 -> (
+            (* commit through completion: no Lemma-1 check, so the
+               process may still have live predecessors *)
+            match
+              List.find_opt
+                (fun p -> (not (Deps.committed t p)) && Deps.uncommitted_preds t p <> [])
+                (List.init n (fun k -> 1 + k))
+            with
+            | Some p -> Deps.mark_committed t p
+            | None -> ())
+        | 3 -> Deps.add_edge t i j (* unchecked, as the rollback path inserts *)
+        | 4 -> (
+            (* reverse a stored edge unchecked: parks a cycle-closing edge *)
+            match Deps.edges t with
+            | [] -> ()
+            | es ->
+                let a, b = List.nth es (Prng.int rng (List.length es)) in
+                Deps.add_edge t b a)
         | _ ->
             if i <> j then begin
               (* mirror the scheduler: check first, insert only safe edges
-                 (the unchecked rollback path is exercised separately) *)
+                 (cases 3 and 4 insert unchecked, as the rollback path does) *)
               if not (Deps.would_cycle t [ (i, j) ]) then Deps.add_edge t i j
             end;
             (* a random would-cycle batch, cross-checked by set_check *)
@@ -102,7 +123,11 @@ let pk_agrees_with_oracle =
                   (1 + Prng.int rng n, 1 + Prng.int rng n))
               |> List.filter (fun (a, b) -> a <> b)
             in
-            ignore (Deps.would_cycle t batch)
+            ignore (Deps.would_cycle t batch));
+        (* Lemma 1's commit check for every pid, cross-checked by set_check *)
+        for pid = 1 to n do
+          ignore (Deps.uncommitted_preds t pid)
+        done
       done;
       (* the maintained order topologically sorts the surviving edges *)
       if not (Deps.would_cycle t []) then begin

@@ -121,6 +121,11 @@ dune exec tools/crashsweep.exe -- --composite-only
 # weak order must shorten the PRED makespan by >= 1.05x, and the bench
 # must exercise the retriable re-invocation path (> 0 local restarts)
 dune exec bench/main.exe -- p18 --quick --min-weak-speedup 1.05 --check-baselines
+# served-path benchmark self-test: every workload tiny, with and without
+# the trace; asserts the correctness gate, the metric names and units of
+# BENCHMARK.json, and exact counts and digests that repeat across runs of
+# one seed
+python3 perfbench/run.py --selftest
 # full bench regenerates the reference output, bench/BENCH_P11.json,
 # bench/BENCH_P12.json, bench/BENCH_P14.json, bench/BENCH_P15.json,
 # bench/BENCH_P16.json, bench/BENCH_P17.json and bench/BENCH_P18.json
