@@ -367,7 +367,15 @@ let random_cmd =
       & opt string "deferred"
       & info [ "mode" ] ~doc:"Scheduler mode: conservative, deferred or quasi")
   in
-  let weak = Arg.(value & flag & info [ "weak" ] ~doc:"Enable the weak order (Section 3.6)") in
+  let weak =
+    Arg.(
+      value & flag
+      & info [ "weak" ]
+          ~doc:
+            "Use the weak order (Section 3.6): conflicting activities of different \
+             processes execute overlapping, and each local commit is held until \
+             every prescribed predecessor's local transaction committed")
+  in
   let trace =
     Arg.(
       value & flag

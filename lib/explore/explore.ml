@@ -265,7 +265,6 @@ let weakabort =
         Scheduler.default_config with
         seed = 7;
         weak_order = true;
-        order_enforcement = true;
         service_time = (fun s -> if s = "resv" then 2.0 else if s = "bill" then 0.4 else 1.0);
       };
     crash_explore = false;
@@ -345,7 +344,6 @@ let weakindoubt =
         Scheduler.default_config with
         seed = 13;
         weak_order = true;
-        order_enforcement = true;
         service_time = (fun s -> if s = "chk" then 6.0 else 1.0);
       };
     crash_explore = false;

@@ -13,7 +13,7 @@ module Coordinator = Tpm_twopc.Coordinator
 module Obs = Tpm_obs.Obs
 module Choice = Tpm_sim.Choice
 module Enforce = Tpm_composite.Enforce
-module Compose = Tpm_composite.Compose
+module Subprocess = Tpm_composite.Subprocess
 
 type mode =
   | Conservative
@@ -63,18 +63,12 @@ type config = {
          figure-1 anomaly; used by the benchmarks as a comparator. *)
   weak_order : bool;
       (* Section 3.6: conflicting activities of different processes may
-         execute overlapping in their subsystem as long as their commit
-         order follows the intended (weak) order; a retriable re-invocation
-         restarts the dependent local transaction *)
-  order_enforcement : bool;
-      (* Section 3.6, enforced end to end: route the prescribed weak order
-         through per-subsystem local executors ({!Tpm_composite.Enforce})
-         that hold each local commit until every prescribed predecessor's
-         local transaction committed, and restart the dependent local
-         transactions when a predecessor aborts.  Also lets dependents
-         overlap *prepared* (2PC-pending) predecessors — the admission
-         edges order them instead.  Only meaningful with [weak_order];
-         off by default. *)
+         execute overlapping in their subsystem (in flight or prepared)
+         while the prescribed weak order is enforced through per-subsystem
+         local executors ({!Tpm_composite.Enforce}): each local commit is
+         held until every prescribed predecessor's local transaction
+         committed, and a predecessor's local abort re-invokes the
+         dependent local transactions *)
   seed : int;
   service_time : string -> float;
   stochastic_times : bool;
@@ -119,7 +113,6 @@ let default_config =
     exact_admission = false;
     naive_sr = false;
     weak_order = false;
-    order_enforcement = false;
     seed = 1;
     service_time = (fun _ -> 1.0);
     stochastic_times = false;
@@ -169,7 +162,7 @@ type future_cache = {
 type pstate = {
   proc : Process.t;
   args_of : Activity.t -> Value.t;
-  groups : Compose.group list;
+  groups : Subprocess.group list;
       (* declared subprocesses (Section 3.6, multi-level composition):
          each admits as ONE activity at the parent level, against the
          union of its members' conflict rows *)
@@ -189,9 +182,6 @@ type pstate = {
   mutable pending_completion : Activity.instance list;
   mutable resume_exec : Execution.t option;  (* for branch-switch rollbacks *)
   mutable completion_cache : (bool * string) list option;  (* C(P) services (is_inverse, name), invalidated on exec change *)
-  mutable weak_wait : (int * int * int) option;
-      (* weakly ordered behind (process, activity, attempts seen): our local
-         commit must follow theirs *)
   mutable aborting : bool;
   mutable term : Schedule.status;  (* meaningful once phase = Done *)
   mutable arrived : float;
@@ -271,9 +261,9 @@ type t = {
   metrics : Metrics.t;
   attempts : (int * int, int) Hashtbl.t;
   enforce : Enforce.t option;
-      (* the Section-3.6 enforcement layer, present iff
-         [weak_order && order_enforcement]: per-subsystem local executors
-         holding local commits to the prescribed weak order *)
+      (* the Section-3.6 enforcement layer, present iff [weak_order]:
+         per-subsystem local executors holding local commits to the
+         prescribed weak order *)
   enf_how : (int, [ `Invoke | `Prepare ]) Hashtbl.t;
       (* dispatch mode per token, for re-invocation after a weak-order
          restart *)
@@ -510,8 +500,7 @@ let create ?(config = default_config) ?(faults = Faults.none)
     metrics;
     attempts = Hashtbl.create 64;
     enforce =
-      (if config.weak_order && config.order_enforcement then Some (Enforce.create ())
-       else None);
+      (if config.weak_order then Some (Enforce.create ()) else None);
     enf_how = Hashtbl.create 32;
     rollback_queue = [];
     rollback_running = false;
@@ -670,7 +659,7 @@ let history t = t.hist
 let serialization_order t = Deps.order t.deps
 
 (* the enforcement layer's live per-subsystem local schedules (empty
-   without [order_enforcement]) — what the composite checkers consume *)
+   without [weak_order]) — what the composite checkers consume *)
 let local_histories t =
   match t.enforce with Some e -> Enforce.locals e | None -> []
 
@@ -785,21 +774,22 @@ let placed_act ps =
 let inflight_sid ps = Option.map (Hashtbl.find ps.svc_ids) ps.inflight
 let prepared_sid ps = Option.map (Hashtbl.find ps.svc_ids) (placed_act ps)
 
-let enforcing t = t.enforce <> None
+(* the Section-3.6 weak order is on (and with it the enforcement layer) *)
+let weak t = t.cfg.weak_order
+
+(* the candidate's row meets [ps]'s in-flight or prepared activity *)
+let placed_conflict_bits ps ~row =
+  (match inflight_sid ps with Some k -> Bitset.mem row k | None -> false)
+  || match prepared_sid ps with Some k -> Bitset.mem row k | None -> false
 
 (* busy test against the candidate's conflict row: one bit probe per
-   in-flight / prepared activity, one intersection for the pending set *)
+   in-flight / prepared activity, one intersection for the pending set.
+   Under the weak order (Section 3.6) a conflicting in-flight or prepared
+   activity does not block: the dependent's local commit is held behind
+   it by the enforcer, and the admission edge orders the two. *)
 let busy_conflicts_bits t ps ~row =
-  (* under the weak order (Section 3.6) a conflicting in-flight invocation
-     does not block: the subsystem orders the commits instead.  With the
-     enforcement layer on, a *prepared* (2PC-pending) activity does not
-     block either — the dependent's local commit is held behind the
-     prepared token's decision by the enforcer. *)
-  ((not t.cfg.weak_order)
-  && match inflight_sid ps with Some k -> Bitset.mem row k | None -> false)
+  ((not (weak t)) && placed_conflict_bits ps ~row)
   || Bitset.inter_nonempty row ps.pending_bits
-  || ((not (enforcing t))
-     && match prepared_sid ps with Some k -> Bitset.mem row k | None -> false)
 
 (* Exact conflict-pair footprint of a service for the enforcement-layer
    Local histories: one shared item per conflicting service pair (the
@@ -873,9 +863,11 @@ let potential_completion ps =
 
 (* Quasi-commit condition (figure 9): every uncommitted predecessor is
    forward-recoverable and its possible completion does not conflict with
-   anything this process may still execute.  The candidate's closure is
-   unioned into the future closure; each predecessor then costs one bit
-   probe per completion service. *)
+   anything this process may still execute.  Under the weak order that
+   includes the predecessor's in-flight or prepared activity: once it
+   occurs, its compensation may join the completion.  The candidate's
+   closure is unioned into the future closure; each predecessor then
+   costs one bit probe per completion service. *)
 let quasi_ok_bits t preds ~row ps =
   let my_conf = t.scratch in
   Bitset.assign ~into:my_conf (future_of t ps).f_conf;
@@ -888,7 +880,8 @@ let quasi_ok_bits t preds ~row ps =
           Execution.recovery_state qs.exec = Execution.F_rec
           && (not
                 (List.exists (fun (_, s) -> Bitset.mem my_conf (sid t s)) (potential_completion qs)))
-          && not (Bitset.inter_nonempty my_conf qs.pending_bits))
+          && not (Bitset.inter_nonempty my_conf qs.pending_bits)
+          && not (weak t && placed_conflict_bits qs ~row:my_conf))
     preds
 
 (* ------------------------------------------------------------------ *)
@@ -1206,10 +1199,10 @@ let admission_decision t pid act =
   let ps = Hashtbl.find t.procs pid in
   let a = Process.find ps.proc act in
   let sidc = Hashtbl.find ps.svc_ids act in
-  let group = Compose.group_of ps.groups act in
+  let group = Subprocess.group_of ps.groups act in
   let member_admitted =
     match group with
-    | Some g -> Hashtbl.mem ps.admitted_groups g.Compose.gname
+    | Some g -> Hashtbl.mem ps.admitted_groups g.Subprocess.gname
     | None -> false
   in
   (* The admission footprint: the activity's own conflict row — or, for
@@ -1222,7 +1215,7 @@ let admission_decision t pid act =
   let gsids =
     match group with
     | Some g when not member_admitted ->
-        List.map (fun s -> sid t s) (Compose.services ps.proc g)
+        List.map (fun s -> sid t s) (Subprocess.services ps.proc g)
     | Some _ | None -> [ sidc ]
   in
   let crow =
@@ -1256,10 +1249,7 @@ let admission_decision t pid act =
             if
               ((live q || q.term = Schedule.Committed)
               && Bitset.inter_nonempty crow q.occ_bits)
-              || (t.cfg.weak_order && live q
-                 && match inflight_sid q with Some k -> Bitset.mem crow k | None -> false)
-              || (enforcing t && live q
-                 && match prepared_sid q with Some k -> Bitset.mem crow k | None -> false)
+              || (weak t && live q && placed_conflict_bits q ~row:crow)
             then Some (qid, pid)
             else None)
           others
@@ -1368,15 +1358,14 @@ module Reference = struct
         services_conflict t service (Process.find ps.proc act).Activity.service
     | Running | Recovering | Awaiting_commit | Done -> false
 
+  let placed_conflict t ps service =
+    inflight_conflict t ps service || prepared_conflict t ps service
+
   let busy_conflicts t ps service =
-    let inflight_conflict = (not t.cfg.weak_order) && inflight_conflict t ps service in
-    let pending_conflict =
-      List.exists
-        (fun inst -> services_conflict t service (instance_service inst))
-        ps.pending_completion
-    in
-    inflight_conflict || pending_conflict
-    || ((not (enforcing t)) && prepared_conflict t ps service)
+    ((not (weak t)) && placed_conflict t ps service)
+    || List.exists
+         (fun inst -> services_conflict t service (instance_service inst))
+         ps.pending_completion
 
   let remaining_services ps =
     let executed = Execution.executed ps.exec in
@@ -1409,7 +1398,8 @@ module Reference = struct
             && not
                  (List.exists
                     (fun cs -> List.exists (fun ms -> services_conflict t cs ms) my_future)
-                    (completion_services qs)))
+                    (completion_services qs))
+            && not (weak t && List.exists (placed_conflict t qs) my_future))
       preds
 
   let exact_ok t (a : Activity.t) =
@@ -1424,17 +1414,17 @@ module Reference = struct
     let ps = Hashtbl.find t.procs pid in
     let a = Process.find ps.proc act in
     let service = a.Activity.service in
-    let group = Compose.group_of ps.groups act in
+    let group = Subprocess.group_of ps.groups act in
     let member_admitted =
       match group with
-      | Some g -> Hashtbl.mem ps.admitted_groups g.Compose.gname
+      | Some g -> Hashtbl.mem ps.admitted_groups g.Subprocess.gname
       | None -> false
     in
     (* string-level mirror of the incremental engine's group handling:
        an un-admitted group's candidate footprint is every member service *)
     let gservices =
       match group with
-      | Some g when not member_admitted -> Compose.services ps.proc g
+      | Some g when not member_admitted -> Subprocess.services ps.proc g
       | Some _ | None -> [ service ]
     in
     let others = List.filter (fun q -> Process.pid q.proc <> pid) (pstates t) in
@@ -1461,8 +1451,7 @@ module Reference = struct
                   (fun s ->
                     ((live q || q.term = Schedule.Committed)
                     && occurrence_conflicts t q s)
-                    || (t.cfg.weak_order && live q && inflight_conflict t q s)
-                    || (enforcing t && live q && prepared_conflict t q s))
+                    || (weak t && live q && placed_conflict t q s))
                   gservices
               then Some (qid, pid)
               else None)
@@ -1568,8 +1557,8 @@ let probe_admission t engine ~pid ~act =
    activity is ordered entirely before or entirely after the subprocess
    — it admits as one unit, the inner engine schedules the children. *)
 let claim_group_footprint t ps g =
-  Hashtbl.replace ps.admitted_groups g.Compose.gname ();
-  let svcs = Compose.services ps.proc g in
+  Hashtbl.replace ps.admitted_groups g.Subprocess.gname ();
+  let svcs = Subprocess.services ps.proc g in
   List.iter
     (fun s ->
       let k = sid t s in
@@ -1635,10 +1624,10 @@ let admission t pid act =
   (match decision with
   | Admit_invoke | Admit_prepare -> (
       let ps = Hashtbl.find t.procs pid in
-      match Compose.group_of ps.groups act with
-      | Some g when not (Hashtbl.mem ps.admitted_groups g.Compose.gname) ->
+      match Subprocess.group_of ps.groups act with
+      | Some g when not (Hashtbl.mem ps.admitted_groups g.Subprocess.gname) ->
           Metrics.incr t.metrics "subprocess_admissions";
-          tracef t "subprocess %s of P%d admitted as one unit" g.Compose.gname pid;
+          tracef t "subprocess %s of P%d admitted as one unit" g.Subprocess.gname pid;
           claim_group_footprint t ps g
       | Some _ | None -> ())
   | Delay _ -> ());
@@ -1873,25 +1862,7 @@ and dispatch t ps act how =
             match placed_act q with Some qact -> obligation qact | None -> ()
           end)
         (pstates t)
-  | None ->
-      if t.cfg.weak_order then
-        ps.weak_wait <-
-          List.find_map
-            (fun q ->
-              if
-                Process.pid q.proc <> pid && live q
-                && inflight_conflict t q a.Activity.service
-              then
-                match q.inflight with
-                | Some qact ->
-                    let qid = Process.pid q.proc in
-                    let att =
-                      Option.value ~default:0 (Hashtbl.find_opt t.attempts (qid, qact))
-                    in
-                    Some (qid, qact, att)
-                | None -> None
-              else None)
-            (pstates t));
+  | None -> ());
   Metrics.incr t.metrics "dispatched";
   if Obs.Tracer.active t.obs then
     Obs.Tracer.emit t.obs
@@ -1974,28 +1945,6 @@ and on_activity_done t pid act how =
   match Hashtbl.find_opt t.procs pid with
   | None -> ()
   | Some ps -> (
-      (match ps.weak_wait with
-      | Some _ when ps.phase = Recovering || ps.phase = Done ->
-          (* our process was aborted while weakly waiting *)
-          ps.weak_wait <- None
-      | Some (qid, qact, att) -> (
-          match Hashtbl.find_opt t.procs qid with
-          | Some q when live q && q.inflight = Some qact ->
-              let att_now = Option.value ~default:0 (Hashtbl.find_opt t.attempts (qid, qact)) in
-              if att_now > att then begin
-                (* the predecessor was re-invoked: restart our local
-                   transaction behind it (Section 3.6) *)
-                Metrics.incr t.metrics "weak_restarts";
-                ps.weak_wait <- Some (qid, qact, att_now);
-                let a = Process.find ps.proc act in
-                Des.after t.sim (duration t a) (fun _ -> on_activity_done t pid act how)
-              end
-              else begin
-                Metrics.incr t.metrics "weak_commit_waits";
-                Des.after t.sim 0.05 (fun _ -> on_activity_done t pid act how)
-              end
-          | Some _ | None -> ps.weak_wait <- None)
-      | None -> ());
       (* Section 3.6 enforcement: the subsystem call below IS the local
          commit of the token's open transaction, so it must wait until
          every prescribed predecessor's local transaction committed.  On
@@ -2008,7 +1957,6 @@ and on_activity_done t pid act how =
           when (match ps.phase with
                | Running | Awaiting_commit | Blocked_2pc _ -> true
                | Recovering | Deciding_2pc _ | Done -> false)
-               && ps.weak_wait = None
                && Enforce.state e ~token:(activity_token ~pid ~act) = Some `Open -> (
             match
               Enforce.request_commit e ~token:(activity_token ~pid ~act)
@@ -2021,7 +1969,7 @@ and on_activity_done t pid act how =
             | `Granted -> false)
         | Some _ | None -> false
       in
-      if ps.weak_wait <> None || enf_held then ()
+      if enf_held then ()
       else begin
       if ps.inflight = Some act then begin
         bump_pid t pid;
@@ -2610,7 +2558,7 @@ let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
   let pid = Process.pid proc in
   if Hashtbl.mem t.procs pid then
     invalid_arg (Printf.sprintf "Scheduler.submit: duplicate process %d" pid);
-  Compose.validate_exn proc groups;
+  Subprocess.validate_exn proc groups;
   List.iter (fun a -> ignore (rm_of t a)) (Process.activities proc);
   (* intern every service of the process once, so the hot admission path
      never touches a string again *)
@@ -2635,7 +2583,6 @@ let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
       pending_completion = [];
       resume_exec = None;
       completion_cache = None;
-      weak_wait = None;
       aborting = false;
       term = Schedule.Active;
       arrived = now t;

@@ -91,22 +91,19 @@ type config = {
           PRED. *)
   weak_order : bool;
       (** Section 3.6: conflicting activities of different processes may
-          execute overlapping in their subsystems; the subsystem enforces
-          the weak (intended) order on their commits, and a retriable
-          re-invocation restarts the dependent local transaction.  Off by
+          execute overlapping in their subsystems, {e in flight} or {e
+          prepared} (2PC-pending); the admission edges order them.  The
+          weak order is realized through per-subsystem local executors
+          ({!Tpm_composite.Enforce}): each activity opens a local
+          transaction at dispatch, and its local commit (the subsystem
+          call) is {e held} until every prescribed predecessor's local
+          transaction committed.  A predecessor's local {e abort}
+          re-invokes its dependent local transactions, not their
+          processes (metric [local_restarts]).  Transient failed attempts
+          of a retriable happen inside its open local transaction, so
+          they hold the dependent rather than re-timing it.  The live
+          local schedules are exposed via {!local_histories}.  Off by
           default (strong order: sequential execution). *)
-  order_enforcement : bool;
-      (** Section 3.6 end to end: realize the weak order through
-          per-subsystem local executors ({!Tpm_composite.Enforce}) — each
-          activity opens a local transaction at dispatch, its local commit
-          (the subsystem call) is {e held} until every prescribed
-          predecessor's local transaction committed, and a predecessor's
-          local abort restarts the dependent local transactions (not
-          their processes).  Also lets dependents overlap {e prepared}
-          (2PC-pending) predecessors; the admission edges order them.
-          Only meaningful together with [weak_order].  The live local
-          schedules are exposed via {!local_histories}.  Off by
-          default. *)
   seed : int;
   service_time : string -> float;  (** mean duration of a service invocation *)
   stochastic_times : bool;  (** exponential durations instead of deterministic *)
@@ -191,7 +188,7 @@ val submit :
   t ->
   ?at:float ->
   ?args_of:(Tpm_core.Activity.t -> Tpm_kv.Value.t) ->
-  ?groups:Tpm_composite.Compose.group list ->
+  ?groups:Tpm_composite.Subprocess.group list ->
   Tpm_core.Process.t ->
   unit
 (** Registers a process for execution at virtual time [at] (default: now).
@@ -205,7 +202,7 @@ val submit :
     by the process's own precedence order (the inner engine).
     @raise Invalid_argument on duplicate pids, activities whose
     subsystem is unknown, or an ill-formed grouping
-    ({!Tpm_composite.Compose.validate}). *)
+    ({!Tpm_composite.Subprocess.validate}). *)
 
 val request_abort : t -> ?at:float -> int -> unit
 (** External abort [A_i]: the process terminates through its completion. *)
@@ -263,7 +260,7 @@ val local_histories : t -> (string * Tpm_composite.Local.t) list
     chain: footprint at dispatch, commit at the subsystem call,
     restarts as abort + re-emission); compensations and completion
     activities are deliberately outside them.  Empty unless
-    [order_enforcement] is on. *)
+    [weak_order] is on. *)
 
 val enforcement_held : t -> int
 (** Local commits the enforcement layer delayed at least once. *)
@@ -335,7 +332,7 @@ val recover :
   ?config:config ->
   ?amnesia:bool ->
   ?tracer:Tpm_obs.Obs.Tracer.t ->
-  ?groups:(int * Tpm_composite.Compose.group list) list ->
+  ?groups:(int * Tpm_composite.Subprocess.group list) list ->
   spec:Tpm_core.Conflict.t ->
   rms:Tpm_subsys.Rm.t list ->
   procs:Tpm_core.Process.t list ->

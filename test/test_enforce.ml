@@ -6,7 +6,7 @@
 open Tpm_core
 module Scheduler = Tpm_scheduler.Scheduler
 module Generator = Tpm_workload.Generator
-module Compose = Tpm_composite.Compose
+module Subprocess = Tpm_composite.Subprocess
 module Local = Tpm_composite.Local
 module Metrics = Tpm_sim.Metrics
 
@@ -29,7 +29,7 @@ let locals_cos t =
 (* Enforced weak order: overlapping executions, held local commits      *)
 (* -------------------------------------------------------------------- *)
 
-let overlap_setup ~order_enforcement ~weak_order =
+let overlap_setup ~weak_order =
   (* P1 runs a slow svc0, P2 a fast svc1 conflicting with it.  Under the
      enforced weak order P2 executes overlapping and its local commit is
      held until P1's; under the strong order P2 waits P1 out. *)
@@ -40,7 +40,6 @@ let overlap_setup ~order_enforcement ~weak_order =
     {
       Scheduler.default_config with
       weak_order;
-      order_enforcement;
       service_time = (fun s -> if s = "svc0" then 3.0 else 1.0);
     }
   in
@@ -65,17 +64,22 @@ let overlap_setup ~order_enforcement ~weak_order =
   t
 
 let test_enforced_overlap () =
-  let t_strong = overlap_setup ~order_enforcement:false ~weak_order:false in
-  let t_enf = overlap_setup ~order_enforcement:true ~weak_order:true in
+  let t_strong = overlap_setup ~weak_order:false in
+  let t_enf = overlap_setup ~weak_order:true in
   check Alcotest.bool "enforced weak order shortens the makespan" true
     (Scheduler.now t_enf < Scheduler.now t_strong);
   (* P2 finished executing first but its local commit was held for P1 *)
   check Alcotest.bool "a local commit was held" true (Scheduler.enforcement_held t_enf > 0);
   check Alcotest.bool "weak_commit_waits counted" true
-    (Metrics.count (Scheduler.metrics t_enf) "weak_commit_waits" > 0)
+    (Metrics.count (Scheduler.metrics t_enf) "weak_commit_waits" > 0);
+  (* the strong order keeps no local histories and holds nothing *)
+  check Alcotest.int "no local histories under the strong order" 0
+    (List.length (Scheduler.local_histories t_strong));
+  check Alcotest.int "nothing held under the strong order" 0
+    (Scheduler.enforcement_held t_strong)
 
 let test_enforced_local_history () =
-  let t = overlap_setup ~order_enforcement:true ~weak_order:true in
+  let t = overlap_setup ~weak_order:true in
   match Scheduler.local_histories t with
   | [ (ss, l) ] ->
       check Alcotest.string "single subsystem" "ss0" ss;
@@ -93,12 +97,6 @@ let test_enforced_local_history () =
         commits
   | ls -> Alcotest.failf "expected one local history, got %d" (List.length ls)
 
-let test_disabled_no_histories () =
-  let t = overlap_setup ~order_enforcement:false ~weak_order:true in
-  check Alcotest.int "no local histories without enforcement" 0
-    (List.length (Scheduler.local_histories t));
-  check Alcotest.int "nothing held" 0 (Scheduler.enforcement_held t)
-
 (* -------------------------------------------------------------------- *)
 (* Retriable re-invocation: a predecessor's local abort restarts the    *)
 (* dependent local transaction, not its process                         *)
@@ -114,9 +112,7 @@ let test_local_restart_on_pred_abort () =
     Generator.rms params ~fail_prob:(fun s -> if s = "svc0" then 1.0 else 0.0) ()
   in
   let spec = spec_with params [ ("svc0", "svc1") ] in
-  let config =
-    { Scheduler.default_config with weak_order = true; order_enforcement = true }
-  in
+  let config = { Scheduler.default_config with weak_order = true } in
   let t = Scheduler.create ~config ~spec ~rms () in
   let p1 =
     Process.make_exn ~pid:1
@@ -146,7 +142,7 @@ let test_local_restart_on_pred_abort () =
 (* prepared in 2PC; the local commit is held until the 2PC decision     *)
 (* -------------------------------------------------------------------- *)
 
-let prepared_setup ~order_enforcement =
+let prepared_setup ~weak_order =
   (* P0: svc0 then a long svc4 -- keeps P0 uncommitted until t=7.
      P1: svc3 (conflicts svc0, so P0 < P1) then a pivot svc1: with an
      uncommitted predecessor the Deferred mode prepares it, and the 2PC
@@ -158,8 +154,7 @@ let prepared_setup ~order_enforcement =
   let config =
     {
       Scheduler.default_config with
-      weak_order = true;
-      order_enforcement;
+      weak_order;
       service_time = (fun s -> if s = "svc4" then 6.0 else 1.0);
     }
   in
@@ -198,10 +193,10 @@ let prepared_setup ~order_enforcement =
   t
 
 let test_prepared_overlap () =
-  let t_wait = prepared_setup ~order_enforcement:false in
-  let t_enf = prepared_setup ~order_enforcement:true in
+  let t_strong = prepared_setup ~weak_order:false in
+  let t_enf = prepared_setup ~weak_order:true in
   check Alcotest.bool "overlapping a prepared predecessor shortens the makespan" true
-    (Scheduler.now t_enf < Scheduler.now t_wait);
+    (Scheduler.now t_enf < Scheduler.now t_strong);
   check Alcotest.bool "the dependent's local commit was held" true
     (Scheduler.enforcement_held t_enf > 0);
   check Alcotest.bool "locals commit-order serializable" true (locals_cos t_enf)
@@ -234,7 +229,9 @@ let group_setup ~grouped =
       ~activities:[ single ~pid:2 ~act:1 ~service:"svc2" ~subsystem:"ss0" () ]
       ~prec:[] ~pref:[]
   in
-  let groups = if grouped then [ { Compose.gname = "sub"; members = [ 1; 2 ] } ] else [] in
+  let groups =
+    if grouped then [ { Subprocess.gname = "sub"; members = [ 1; 2 ] } ] else []
+  in
   Scheduler.submit t ~groups p1;
   Scheduler.submit t ~at:0.5 p2;
   Scheduler.run t;
@@ -277,21 +274,21 @@ let test_group_validation () =
       ~prec:[ (1, 2); (2, 3) ]
       ~pref:[]
   in
-  let ok gs = match Compose.validate p gs with Ok () -> true | Error _ -> false in
+  let ok gs = match Subprocess.validate p gs with Ok () -> true | Error _ -> false in
   check Alcotest.bool "convex prefix is valid" true
-    (ok [ { Compose.gname = "g"; members = [ 1; 2 ] } ]);
+    (ok [ { Subprocess.gname = "g"; members = [ 1; 2 ] } ]);
   check Alcotest.bool "unknown member rejected" false
-    (ok [ { Compose.gname = "g"; members = [ 1; 9 ] } ]);
+    (ok [ { Subprocess.gname = "g"; members = [ 1; 9 ] } ]);
   check Alcotest.bool "empty group rejected" false
-    (ok [ { Compose.gname = "g"; members = [] } ]);
+    (ok [ { Subprocess.gname = "g"; members = [] } ]);
   check Alcotest.bool "overlapping groups rejected" false
     (ok
        [
-         { Compose.gname = "g1"; members = [ 1; 2 ] };
-         { Compose.gname = "g2"; members = [ 2; 3 ] };
+         { Subprocess.gname = "g1"; members = [ 1; 2 ] };
+         { Subprocess.gname = "g2"; members = [ 2; 3 ] };
        ]);
   check Alcotest.bool "non-convex group rejected" false
-    (ok [ { Compose.gname = "g"; members = [ 1; 3 ] } ])
+    (ok [ { Subprocess.gname = "g"; members = [ 1; 3 ] } ])
 
 (* -------------------------------------------------------------------- *)
 (* Differential: groups + enforcement under the Checked engine          *)
@@ -312,7 +309,6 @@ let test_checked_engine_groups_enforcement () =
     {
       Scheduler.default_config with
       weak_order = true;
-      order_enforcement = true;
       admission_engine = Scheduler.Checked;
     }
   in
@@ -330,7 +326,7 @@ let test_checked_engine_groups_enforcement () =
       ~prec:[ (1, 2); (2, 3) ]
       ~pref:[]
   in
-  let groups = [ { Compose.gname = "head"; members = [ 1; 2 ] } ] in
+  let groups = [ { Subprocess.gname = "head"; members = [ 1; 2 ] } ] in
   for pid = 1 to 6 do
     Scheduler.submit t ~at:(0.4 *. float_of_int pid) ~groups (proc pid)
   done;
@@ -347,7 +343,6 @@ let suite =
   [
     Alcotest.test_case "enforced weak order overlaps executions" `Quick test_enforced_overlap;
     Alcotest.test_case "local history realizes the weak order" `Quick test_enforced_local_history;
-    Alcotest.test_case "enforcement off keeps the legacy path" `Quick test_disabled_no_histories;
     Alcotest.test_case "predecessor abort re-invokes dependents" `Quick
       test_local_restart_on_pred_abort;
     Alcotest.test_case "dependents overlap prepared predecessors" `Quick test_prepared_overlap;

@@ -109,8 +109,19 @@ dune exec bench/main.exe -- p14 --quick --min-throughput 20000
 # no replayed record below the plan's bound), and the Tx read-set must
 # stay linear (>= 100k reads/s in one transaction; measured ~1M)
 dune exec bench/main.exe -- p17 --quick --min-hit-rate 0.95 --min-tx-reads 100000
+# weak-order sweep: `tpm random --weak` over 25 seeds x 3 conflict
+# densities must finish every run with a PRED history (each local commit
+# waits for every prescribed predecessor, not only the first one found)
+for density in 0.2 0.4 0.6; do
+  for seed in $(seq 1 25); do
+    if _build/default/bin/tpm_cli.exe random --weak -n 16 --conflicts "$density" \
+         --seed "$seed" | grep -Eq '^ *(finished|history PRED) +NO$'; then
+      echo "ci: tpm random --weak --conflicts $density --seed $seed is not PRED"; exit 1
+    fi
+  done
+done
 # composite crash sweep at full coverage: crash at EVERY append while a
-# grouped subprocess (Compose) is mid-flight under the enforced weak
+# grouped subprocess (Subprocess) is mid-flight under the enforced weak
 # order, recover with the groups re-declared, and require the recovered
 # subsystem histories commit-order serializable (runtest runs a strided
 # slice; this arm exhausts all crash points for every seed)

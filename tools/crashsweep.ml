@@ -26,7 +26,7 @@ module Service = Tpm_subsys.Service
 module Store = Tpm_kv.Store
 module Wal = Tpm_wal.Wal
 module Obs = Tpm_obs.Obs
-module Compose = Tpm_composite.Compose
+module Subprocess = Tpm_composite.Subprocess
 module Local = Tpm_composite.Local
 
 (* every sweep run carries a small ring tracer so a failing crash point
@@ -840,7 +840,7 @@ let composite_procs =
 
 let composite_groups =
   List.map
-    (fun p -> (Process.pid p, [ { Compose.gname = "head"; members = [ 1; 2 ] } ]))
+    (fun p -> (Process.pid p, [ { Subprocess.gname = "head"; members = [ 1; 2 ] } ]))
     composite_procs
 
 let submit_all_grouped t procs =
@@ -857,7 +857,6 @@ let composite_sweep ~seed ~stride =
       mode = Scheduler.Deferred;
       seed;
       weak_order = true;
-      order_enforcement = true;
     }
   in
   let spec = Generator.spec params in
